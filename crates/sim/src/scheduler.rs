@@ -27,41 +27,43 @@ pub struct Candidate {
     pub priority: u8,
 }
 
-/// Order `candidates` in place according to `policy`.
+/// A candidate's rank under a policy: smaller keys issue first.
+///
+/// Fields, compared in order: inverted technique priority (only
+/// owner-warp-first sets it), whether the candidate is *not* the preferred
+/// warp (the greedily-held one for GTO/OWF, one at or before the cursor for
+/// LRR), and a tie-break unique per resident warp (admission age, or the
+/// slot for LRR). Uniqueness means no two candidates ever share a key.
+pub type OrderKey = (u8, bool, u64);
+
+/// The rank of `c` under `policy` and `state`. [`order_candidates`] sorts
+/// by it, and the issue stage compares it against the best warp it skipped
+/// (the scoreboard-stall memo), so both share this one definition.
 ///
 /// * GTO: the greedily-held warp first (if still a candidate), then oldest
 ///   first.
 /// * LRR: rotation starting after the cursor.
 /// * OwnerWarpFirst: priority (descending), then GTO order.
+pub fn order_key(policy: SchedulerPolicy, state: &SchedulerState, c: &Candidate) -> OrderKey {
+    let not_greedy = c.slot != state.last_issued.unwrap_or(u32::MAX);
+    match policy {
+        SchedulerPolicy::Gto => (0, not_greedy, c.age),
+        SchedulerPolicy::Lrr => (0, c.slot <= state.rr_cursor, u64::from(c.slot)),
+        SchedulerPolicy::OwnerWarpFirst => (u8::MAX - c.priority, not_greedy, c.age),
+    }
+}
+
+/// Order `candidates` in place by [`order_key`].
 pub fn order_candidates(
     policy: SchedulerPolicy,
     state: &SchedulerState,
     candidates: &mut [Candidate],
 ) {
-    // Unstable sorts are deterministic here: every key tuple ends in the
-    // candidate's slot or admission age, both unique per resident warp, so no
-    // two candidates ever compare equal and stability cannot matter. The
-    // unstable sort avoids the temporary buffer `sort_by_key` allocates for
-    // slices longer than 20 elements — this runs on the per-cycle hot path.
-    match policy {
-        SchedulerPolicy::Gto => {
-            candidates
-                .sort_unstable_by_key(|c| (c.slot != state.last_issued.unwrap_or(u32::MAX), c.age));
-        }
-        SchedulerPolicy::Lrr => {
-            let cur = state.rr_cursor;
-            candidates.sort_unstable_by_key(|c| (c.slot <= cur, c.slot));
-        }
-        SchedulerPolicy::OwnerWarpFirst => {
-            candidates.sort_unstable_by_key(|c| {
-                (
-                    core::cmp::Reverse(c.priority),
-                    c.slot != state.last_issued.unwrap_or(u32::MAX),
-                    c.age,
-                )
-            });
-        }
-    }
+    // Unstable sorts are deterministic here: keys are unique per resident
+    // warp, so stability cannot matter. The unstable sort avoids the
+    // temporary buffer `sort_by_key` allocates for slices longer than 20
+    // elements — this runs on the per-cycle hot path.
+    candidates.sort_unstable_by_key(|c| order_key(policy, state, c));
 }
 
 #[cfg(test)]

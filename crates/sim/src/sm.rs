@@ -2,11 +2,12 @@
 //!
 //! Each cycle the SM: retires completed memory requests, tallies residency,
 //! lets every warp scheduler pick the best candidate warp that can actually
-//! issue (greedy-then-oldest by default), executes that instruction both
-//! *temporally* (scoreboard, latencies, structural limits, barrier and
-//! acquire semantics at the issue stage — where the paper places RegMutex's
-//! allocation logic, §III-B1) and *functionally* (value layer + store
-//! checksums), and finally retires CTAs whose warps all exited, admitting
+//! issue (greedy-then-oldest by default; a warp known to be waiting on the
+//! scoreboard is not probed again until its operand lands), executes that
+//! instruction both *temporally* (scoreboard, latencies, structural limits,
+//! barrier and acquire semantics at the issue stage — where the paper places
+//! RegMutex's allocation logic, §III-B1) and *functionally* (value layer +
+//! store checksums), and finally retires CTAs whose warps all exited, admitting
 //! queued CTAs into the freed resources.
 
 use std::collections::VecDeque;
@@ -15,10 +16,10 @@ use std::sync::Arc;
 use regmutex_isa::{decide, mix, ArchReg, BranchBehavior, CtaId, Kernel, LatencyClass, Op, WarpId};
 
 use crate::barrier::BarrierUnit;
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, SchedulerPolicy};
 use crate::manager::{AcquireResult, Ledger, LedgerViolation, RegisterManager};
 use crate::memory::MemoryPipe;
-use crate::scheduler::{order_candidates, Candidate, SchedulerState};
+use crate::scheduler::{order_candidates, order_key, Candidate, OrderKey, SchedulerState};
 use crate::simt::full_mask;
 use crate::stats::SimStats;
 use crate::trace::{TraceEvent, TraceKind};
@@ -127,6 +128,11 @@ fn stall_index(r: StallReason) -> usize {
 /// later cycle can change until an external wake event — so re-running it at
 /// `now+1 .. target-1` would produce byte-identical deltas, and
 /// [`Sm::skip_ahead`] replays them multiplicatively instead.
+///
+/// Warps the scoreboard-stall memo keeps out of the probe list
+/// ([`WarpState::sb_until`]) contribute exactly what their probe would
+/// have: their memoized ready cycle as a wake hint, and a scoreboard stall
+/// whenever one of them outranks every warp actually probed.
 #[derive(Debug, Default)]
 struct StepProbe {
     /// Any scheduler issued an instruction.
@@ -141,8 +147,16 @@ struct StepProbe {
     stalls: [u64; 5],
     /// `acq.es` attempts performed during the step.
     acquire_attempts: u64,
-    /// Minimum wake hint over every stalled candidate tried this step.
+    /// Minimum wake hint over every stalled candidate this step, probed or
+    /// skipped by the scoreboard-stall memo.
     wake: Option<u64>,
+}
+
+impl StepProbe {
+    /// Fold a stalled candidate's wake cycle into the step's minimum.
+    fn note_wake(&mut self, at: u64) {
+        self.wake = Some(self.wake.map_or(at, |cur| cur.min(at)));
+    }
 }
 
 #[derive(Debug)]
@@ -185,6 +199,9 @@ pub struct Sm {
     /// `issuable()` transition: admission (+1), barrier park (−1), barrier
     /// release (+1), exit (−1).
     sched_ready: Vec<u32>,
+    /// Incremental count of resident, unfinished warps: +1 per admitted
+    /// warp, −1 at exit (debug builds cross-check it every step).
+    live_warps: u32,
 }
 
 impl Sm {
@@ -223,6 +240,7 @@ impl Sm {
             cand_buf: Vec::with_capacity(max_warps),
             slot_buf: Vec::new(),
             sched_ready: vec![0; nsched],
+            live_warps: 0,
         }
     }
 
@@ -248,7 +266,7 @@ impl Sm {
 
     /// Resident, unfinished warps right now.
     pub fn resident_warps(&self) -> u32 {
-        self.warps.iter().flatten().filter(|w| !w.done).count() as u32
+        self.live_warps
     }
 
     /// Snapshot of SRP-related stall state for deadlock diagnostics:
@@ -333,11 +351,19 @@ impl Sm {
         self.mem.begin_cycle(now);
         self.fill_ctas();
 
-        let resident = u64::from(self.resident_warps());
+        debug_assert_eq!(
+            self.live_warps,
+            self.warps.iter().flatten().filter(|w| !w.done).count() as u32,
+            "incremental resident-warp count out of sync"
+        );
+        let resident = u64::from(self.live_warps);
         self.stats.resident_warp_cycles += resident;
         self.probe.resident = resident;
 
         let nsched = self.sched.len();
+        let policy = self.cfg.policy;
+        // Only owner-warp-first reads the technique priority.
+        let owf = policy == SchedulerPolicy::OwnerWarpFirst;
         // The candidate buffer lives on the SM: `step` runs every simulated
         // cycle and must not allocate in steady state.
         let mut candidates = std::mem::take(&mut self.cand_buf);
@@ -353,18 +379,32 @@ impl Sm {
                 continue;
             }
             candidates.clear();
+            // Best-ranked warp the scoreboard-stall memo kept out of the
+            // probe list: it stands in for the stall it would have reported.
+            let mut memo_best: Option<OrderKey> = None;
             for slot in (sid..self.warps.len()).step_by(nsched) {
-                if let Some(w) = &self.warps[slot] {
-                    if w.issuable() {
-                        candidates.push(Candidate {
-                            slot: slot as u32,
-                            age: w.age,
-                            priority: self.manager.scheduling_priority(WarpId(slot as u32)),
-                        });
-                    }
+                let Some(w) = &self.warps[slot] else { continue };
+                if !w.issuable() {
+                    continue;
+                }
+                let c = Candidate {
+                    slot: slot as u32,
+                    age: w.age,
+                    priority: if owf {
+                        self.manager.scheduling_priority(WarpId(slot as u32))
+                    } else {
+                        0
+                    },
+                };
+                if now < w.sb_until {
+                    let key = order_key(policy, &self.sched[sid], &c);
+                    memo_best = Some(memo_best.map_or(key, |b| b.min(key)));
+                    self.probe.note_wake(w.sb_until);
+                } else {
+                    candidates.push(c);
                 }
             }
-            order_candidates(self.cfg.policy, &self.sched[sid], &mut candidates);
+            order_candidates(policy, &self.sched[sid], &mut candidates);
             let mut first_block: Option<StallReason> = None;
             let mut issued = false;
             for c in candidates.iter() {
@@ -380,7 +420,7 @@ impl Sm {
                     Err(Blocked::Stall { reason, wake }) => {
                         first_block.get_or_insert(reason);
                         if let Some(at) = wake {
-                            self.probe.wake = Some(self.probe.wake.map_or(at, |cur| cur.min(at)));
+                            self.probe.note_wake(at);
                         }
                     }
                     Err(Blocked::Fatal(fault)) => {
@@ -390,7 +430,21 @@ impl Sm {
                 }
             }
             if !issued {
-                if let Some(r) = first_block {
+                // With no issue every probe-list warp stalled, so the first
+                // in rank order is `candidates[0]`; a memoized warp ranked
+                // ahead of it would have been probed first and stalled on
+                // the scoreboard.
+                let memo_first = memo_best.is_some_and(|m| {
+                    candidates
+                        .first()
+                        .is_none_or(|c| m < order_key(policy, &self.sched[sid], c))
+                });
+                let reason = if memo_first {
+                    Some(StallReason::Scoreboard)
+                } else {
+                    first_block
+                };
+                if let Some(r) = reason {
                     self.stats.note_stall(r);
                     self.probe.stalls[stall_index(r)] += 1;
                 }
@@ -414,6 +468,14 @@ impl Sm {
     }
 
     /// Attempt to issue the next instruction of the warp in `slot`.
+    ///
+    /// The scoreboard check runs first, before any manager call, ledger
+    /// check, fault-injector event or trace event, so a scoreboard-blocked
+    /// probe has no effect beyond idempotent SIMT reconvergence and
+    /// scoreboard draining. It records the blocking write's ready cycle in
+    /// [`WarpState::sb_until`], and [`Sm::step`] skips the warp until then:
+    /// its PC and pending writes change only when it issues, so every probe
+    /// before that cycle would return the same stall with the same wake.
     fn try_issue(&mut self, slot: usize, now: u64) -> Result<(), Blocked> {
         // --- Phase 1: everything that needs &mut warp -------------------
         let wid = WarpId(slot as u32);
@@ -423,7 +485,7 @@ impl Sm {
             Exit(CtaId, u64),
         }
         let after = {
-            let image = Arc::clone(&self.image);
+            let image: &KernelImage = &self.image;
             let w = self.warps[slot].as_mut().expect("issuing absent warp");
 
             // Reconverge masked-off lanes arriving at their rejoin point.
@@ -446,6 +508,8 @@ impl Sm {
                 .map(|&(_, ready)| ready)
                 .min();
             if let Some(ready) = blocking_ready {
+                // Until `ready` every probe returns this same stall.
+                w.sb_until = ready;
                 return Err(Blocked::Stall {
                     reason: StallReason::Scoreboard,
                     wake: Some(ready),
@@ -531,6 +595,7 @@ impl Sm {
                     debug_assert!(w.simt.is_converged(), "exit inside divergence");
                     w.done = true;
                     self.sched_ready[slot % self.sched.len()] -= 1;
+                    self.live_warps -= 1;
                     w.issued += 1;
                     self.stats.instructions += 1;
                     self.manager.on_warp_exit(&mut self.ledger, wid);
@@ -839,6 +904,7 @@ impl Sm {
                 self.age_counter += 1;
                 self.sched_ready[slot.index() % nsched] += 1;
             }
+            self.live_warps += wpc as u32;
             self.barrier.register_cta(next, wpc as u32);
             self.resident.push(ResidentCta {
                 cta: next,

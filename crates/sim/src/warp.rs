@@ -86,6 +86,12 @@ pub struct WarpState {
     /// the per-cycle scoreboard drain is a single comparison until the next
     /// writeback actually matures.
     pending_min: u64,
+    /// Scoreboard-stall memo: the cycle at which the pending write that last
+    /// blocked this warp's current instruction completes (0 when none). A
+    /// blocked warp's PC and pending writes change only when it issues, so
+    /// until this cycle every probe would stall on the scoreboard again, and
+    /// the issue stage skips it (see `Sm::step`).
+    pub sb_until: u64,
     /// Remaining-iteration counters per loop-branch ordinal.
     pub loop_counters: HashMap<u32, u32>,
     /// Dynamic occurrence counters per branch ordinal (seeds `If` choices).
@@ -131,6 +137,7 @@ impl WarpState {
             regs: reg_values,
             pending: Vec::new(),
             pending_min: u64::MAX,
+            sb_until: 0,
             loop_counters: HashMap::new(),
             occurrences: HashMap::new(),
             checksum: 0,

@@ -1,8 +1,13 @@
 //! Behavioral tests of the SM cycle engine: timing-visible properties that
 //! unit tests of individual components cannot capture.
 
-use regmutex_isa::{ArchReg, Kernel, KernelBuilder, TripCount};
-use regmutex_sim::{run_kernel, GpuConfig, LaunchConfig, SchedulerPolicy, SimStats, StaticManager};
+use std::sync::Arc;
+
+use regmutex_isa::{ArchReg, CtaId, Instr, Kernel, KernelBuilder, PhysReg, TripCount, WarpId};
+use regmutex_sim::{
+    run_kernel, AcquireResult, GpuConfig, KernelImage, LaunchConfig, Ledger, RegisterManager,
+    SchedulerPolicy, SimStats, Sm, StallReason, StaticManager, TraceKind,
+};
 
 fn r(i: u16) -> ArchReg {
     ArchReg(i)
@@ -383,4 +388,219 @@ fn sm_worker_count_is_stat_invariant() {
         let parallel = run(&k, &cfg, 31);
         assert_eq!(parallel, serial, "stats diverge at sm_workers={workers}");
     }
+}
+
+/// A [`StaticManager`] whose owner-warp-first priority follows how many
+/// register instructions each warp has issued: most-progressed first, or
+/// least-progressed first. It lets the tests put either warp at the head of
+/// the OWF order.
+struct ProgressPriority {
+    inner: StaticManager,
+    issued: [u8; 8],
+    least_first: bool,
+}
+
+impl RegisterManager for ProgressPriority {
+    fn name(&self) -> &'static str {
+        "progress-priority"
+    }
+    fn try_admit_cta(&mut self, ledger: &mut Ledger, cta: CtaId, slots: &[WarpId]) -> bool {
+        self.inner.try_admit_cta(ledger, cta, slots)
+    }
+    fn retire_cta(&mut self, ledger: &mut Ledger, cta: CtaId, slots: &[WarpId]) {
+        self.inner.retire_cta(ledger, cta, slots);
+    }
+    fn try_acquire(&mut self, ledger: &mut Ledger, warp: WarpId) -> AcquireResult {
+        self.inner.try_acquire(ledger, warp)
+    }
+    fn release(&mut self, ledger: &mut Ledger, warp: WarpId) {
+        self.inner.release(ledger, warp);
+    }
+    fn post_issue(&mut self, _ledger: &mut Ledger, warp: WarpId, _instr: &Instr, _pc: u32) {
+        self.issued[warp.index()] += 1;
+    }
+    fn translate(&self, warp: WarpId, reg: ArchReg) -> Option<PhysReg> {
+        self.inner.translate(warp, reg)
+    }
+    fn on_warp_exit(&mut self, ledger: &mut Ledger, warp: WarpId) {
+        self.inner.on_warp_exit(ledger, warp);
+    }
+    fn scheduling_priority(&self, warp: WarpId) -> u8 {
+        let n = self.issued[warp.index()];
+        if self.least_first {
+            u8::MAX - n
+        } else {
+            n
+        }
+    }
+}
+
+/// How the stall-attribution tests order their warps.
+#[derive(Clone, Copy, Debug)]
+enum Order {
+    Gto,
+    Lrr,
+    /// Owner-warp-first; `true` puts the least-progressed warp first.
+    Owf {
+        least_first: bool,
+    },
+}
+
+/// Steps one SM (one scheduler, `mem_slots` global loads in flight, one
+/// CTA) through `kernel` cycle by cycle and renders what each cycle did:
+/// the slot of the warp that issued, otherwise the stall the cycle was
+/// charged to (`S` scoreboard, `M` memory structural, `B`/`A`/`R` barrier,
+/// acquire, register allocation), or `.` for an empty scheduler.
+fn issue_timeline(kernel: &Kernel, order: Order, mem_slots: u32) -> String {
+    let mut cfg = GpuConfig::test_tiny();
+    cfg.num_schedulers = 1;
+    cfg.max_outstanding_mem = mem_slots;
+    let inner = StaticManager::new(&cfg, kernel.regs_per_thread);
+    let manager: Box<dyn RegisterManager> = match order {
+        Order::Gto => Box::new(inner),
+        Order::Lrr => {
+            cfg.policy = SchedulerPolicy::Lrr;
+            Box::new(inner)
+        }
+        Order::Owf { least_first } => {
+            cfg.policy = SchedulerPolicy::OwnerWarpFirst;
+            Box::new(ProgressPriority {
+                inner,
+                issued: [0; 8],
+                least_first,
+            })
+        }
+    };
+    let image = Arc::new(KernelImage::new(kernel.clone()));
+    let mut sm = Sm::new(cfg, image, manager, [CtaId(0)]);
+    sm.enable_tracing();
+    let mut out = String::new();
+    let mut now = 0;
+    while !sm.idle() {
+        let before = sm.stats.clone();
+        sm.step(now).expect("no issue fault");
+        let issuer = sm
+            .take_trace()
+            .into_iter()
+            .find(|e| e.kind != TraceKind::WarpLaunch)
+            .map(|e| char::from_digit(e.warp, 10).expect("single-digit slot"));
+        sm.enable_tracing();
+        let stall = || {
+            StallReason::ALL
+                .into_iter()
+                .find(|r| sm.stats.stall_cycles.get(r) > before.stall_cycles.get(r))
+                .map_or('.', |r| match r {
+                    StallReason::Scoreboard => 'S',
+                    StallReason::Barrier => 'B',
+                    StallReason::Acquire => 'A',
+                    StallReason::MemoryStructural => 'M',
+                    StallReason::RegAlloc => 'R',
+                })
+        };
+        out.push(issuer.unwrap_or_else(stall));
+        now += 1;
+    }
+    out
+}
+
+/// `prefix`, then `fill` repeated until the string is `len` long.
+fn run_of(prefix: &str, fill: char, len: usize) -> String {
+    let mut s = prefix.to_string();
+    s.extend(std::iter::repeat_n(fill, len - prefix.len()));
+    s
+}
+
+/// Two warps, each: load, a use of the load, a second load, a use, exit.
+/// With one load in flight per SM the warps contend for the memory pipe
+/// while each waits on its own load result.
+fn load_use_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("load-use");
+    b.threads_per_cta(64);
+    b.ld_global(r(1), r(0));
+    b.iadd(r(2), r(1), r(1));
+    b.ld_global(r(3), r(0));
+    b.iadd(r(4), r(3), r(3));
+    b.exit();
+    b.build().unwrap()
+}
+
+/// The issue stage stops probing a warp blocked on the scoreboard until its
+/// blocking write lands. In a cycle with no issue, that skipped warp still
+/// takes the stall when it ranks ahead of every warp actually probed: here
+/// the older warp waits on its load and ranks first while the younger one
+/// cannot get its own load into the full memory pipe.
+#[test]
+fn memo_blocked_warp_ranked_first_takes_the_stall() {
+    let k = load_use_kernel();
+    // GTO: warp 0 loads at cycle 0 and stays greedy (and oldest) while it
+    // waits; from cycle 2 on it is skipped, not probed.
+    let gto = issue_timeline(&k, Order::Gto, 1);
+    assert_eq!(gto[..60], run_of("0", 'S', 60), "{gto}");
+    // OWF, most-progressed first: warp 0 leads once it has loaded.
+    let owf = issue_timeline(&k, Order::Owf { least_first: false }, 1);
+    assert_eq!(owf[..60], run_of("0", 'S', 60), "{owf}");
+    // LRR: warp 1 loads first, and when its load returns (cycle 60) the
+    // warps swap. From cycle 62 warp 0 waits on its load and, with the
+    // cursor on warp 1, ranks first while warp 1's second load finds the
+    // pipe full.
+    let lrr = issue_timeline(&k, Order::Lrr, 1);
+    assert_eq!(lrr[60..120], run_of("01", 'S', 60), "{lrr}");
+}
+
+/// The reverse order: the warp stalled on the memory pipe ranks ahead of
+/// the warp waiting on its load, so the cycle is charged to the pipe.
+#[test]
+fn memory_stalled_warp_ranked_first_takes_the_stall() {
+    let k = load_use_kernel();
+    // LRR: warp 1 loads first (cycle 0); warp 0, next after the cursor,
+    // then stalls on the full pipe while warp 1 waits on its load.
+    let lrr = issue_timeline(&k, Order::Lrr, 1);
+    assert_eq!(lrr[..60], run_of("1", 'M', 60), "{lrr}");
+    // OWF, least-progressed first: warp 1 leads once warp 0 has loaded.
+    let owf = issue_timeline(&k, Order::Owf { least_first: true }, 1);
+    assert_eq!(owf[..60], run_of("0", 'M', 60), "{owf}");
+    // GTO: warp 1 becomes the greedy warp by issuing an add while warp 0
+    // waits on its load, then stalls on the pipe ahead of the older warp.
+    let mut b = KernelBuilder::new("add-load-use");
+    b.threads_per_cta(64);
+    b.iadd(r(1), r(0), r(0));
+    b.ld_global(r(2), r(0));
+    b.iadd(r(3), r(2), r(2));
+    b.exit();
+    let gto = issue_timeline(&b.build().unwrap(), Order::Gto, 1);
+    assert_eq!(gto[..60], run_of("001", 'M', 60), "{gto}");
+}
+
+/// A warp ranked behind a memo-blocked warp still issues in the cycle the
+/// blocked warp is skipped: skipping its probe changes nothing else.
+#[test]
+fn younger_warp_issues_past_memo_blocked_warp() {
+    // Two loads each, two in flight per SM. Warp 0 issues both, then waits
+    // on the second (ready at cycle 61) from cycle 2; warp 1's first load
+    // gets into the pipe when warp 0's first load returns at cycle 60,
+    // while warp 0 is still skipped and still ranks first (greedy under
+    // GTO, most-progressed under OWF).
+    let mut b = KernelBuilder::new("two-loads");
+    b.threads_per_cta(64);
+    b.ld_global(r(1), r(0));
+    b.ld_global(r(2), r(0));
+    b.iadd(r(3), r(2), r(2));
+    b.exit();
+    let k = b.build().unwrap();
+    for order in [Order::Gto, Order::Owf { least_first: false }] {
+        let t = issue_timeline(&k, order, 2);
+        assert_eq!(t[..61], run_of("00", 'S', 60) + "1", "{order:?}: {t}");
+    }
+    // LRR with one load in flight: warp 1 loads first; after its load
+    // returns, warp 0 loads (cycle 60) and waits on it from cycle 62, ranked
+    // first because the cursor sits on warp 1 — which keeps issuing.
+    let mut b = KernelBuilder::new("load-adds");
+    b.threads_per_cta(64);
+    b.ld_global(r(1), r(0));
+    b.iadd(r(2), r(1), r(1));
+    b.iadd(r(3), r(0), r(0));
+    b.iadd(r(4), r(0), r(0));
+    b.exit();
+    let t = issue_timeline(&b.build().unwrap(), Order::Lrr, 1);
+    assert_eq!(t[60..66], *"01111S", "{t}");
 }
