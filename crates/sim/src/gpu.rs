@@ -132,7 +132,7 @@ pub fn run_kernel(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
+    manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager>,
 ) -> Result<SimStats, SimError> {
     run_inner(cfg, kernel, launch, manager_factory, false, None).map(|(stats, _)| stats)
 }
@@ -148,7 +148,7 @@ pub fn run_kernel_traced(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
+    manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager>,
 ) -> Result<(SimStats, Vec<crate::trace::TraceEvent>), SimError> {
     run_inner(cfg, kernel, launch, manager_factory, true, None)
 }
@@ -169,7 +169,7 @@ pub fn run_kernel_faulted(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    mut manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
+    mut manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager>,
     plan: &FaultPlan,
     log: Arc<FaultLog>,
 ) -> Result<SimStats, SimError> {
@@ -187,114 +187,36 @@ pub fn run_kernel_faulted(
     run_inner(cfg, kernel, launch, factory, false, Some((plan, &log))).map(|(stats, _)| stats)
 }
 
-/// Everything one shard of SMs reports after stepping a cycle: the inputs
-/// the device-level controller needs, already reduced over the shard.
-/// Shard outcomes combine associatively ([`ShardOutcome::fold`]), so the
-/// serial loop (one shard holding every SM) and the parallel loop (one
-/// shard per worker, folded in worker order) feed [`DeviceClock::decide`]
-/// bit-identical values.
+/// What the device controller needs from one stepped cycle, reduced over
+/// every simulated SM.
 #[derive(Debug)]
-pub(crate) struct ShardOutcome {
-    /// Every SM in the shard is idle (retired all its CTAs).
-    pub(crate) all_idle: bool,
+struct CycleOutcome {
+    /// Every SM is idle (retired all its CTAs).
+    all_idle: bool,
     /// Every SM is idle or just executed a provably repeatable no-issue
     /// step ([`Sm::can_skip`]).
-    pub(crate) all_skippable: bool,
-    /// Max `last_progress` over the shard.
-    pub(crate) last_progress: u64,
-    /// Min [`Sm::next_event_cycle`] over the shard's non-idle SMs; only
-    /// computed when the shard is all-skippable (it is unused otherwise),
-    /// `u64::MAX` when absent.
-    pub(crate) min_wake: u64,
-    /// Lowest-id faulting SM, if any step tripped the safety net.
-    pub(crate) fault: Option<(u32, IssueFault)>,
+    all_skippable: bool,
+    /// Max `last_progress` over the SMs.
+    last_progress: u64,
+    /// Min [`Sm::next_event_cycle`] over the non-idle SMs; only computed
+    /// when the run is skipping and every SM is skippable (it is unused
+    /// otherwise), `u64::MAX` when absent.
+    min_wake: u64,
+    /// The lowest-id SM's fault, if any step tripped the safety net.
+    fault: Option<IssueFault>,
     /// `(last_progress, sm_id)` of the non-idle SM with the oldest
     /// progress — the deadlock snapshot candidate.
-    pub(crate) oldest: Option<(u64, u32)>,
+    oldest: Option<(u64, u32)>,
 }
 
-/// Apply the fault plan's memory-latency spike for `now` and step every SM
-/// in `shard` (global ids `base..`), reducing the controller inputs. Wake
-/// hints are only gathered when `want_wake` (the run is skipping) — the
-/// tick loop never reads them.
-///
-/// All SMs step the cycle even after one faults: a worker cannot retract
-/// steps other shards already took in the same epoch, so the serial loop
-/// matches by also finishing the cycle and reporting the lowest-id fault.
-pub(crate) fn step_shard(
-    shard: &mut [Sm],
-    base: u32,
-    now: u64,
-    mem_extra: Option<u64>,
-    want_wake: bool,
-) -> ShardOutcome {
-    if let Some(extra) = mem_extra {
-        for sm in shard.iter_mut() {
-            sm.set_mem_extra_latency(extra);
-        }
-    }
-    let mut out = ShardOutcome {
-        all_idle: true,
-        all_skippable: true,
-        last_progress: 0,
-        min_wake: u64::MAX,
-        fault: None,
-        oldest: None,
-    };
-    for (i, sm) in shard.iter_mut().enumerate() {
-        let sm_id = base + i as u32;
-        if let Err(fault) = sm.step(now) {
-            if out.fault.is_none() {
-                out.fault = Some((sm_id, fault));
-            }
-        }
-        let idle = sm.idle();
-        out.all_idle &= idle;
-        out.all_skippable &= idle || sm.can_skip();
-        out.last_progress = out.last_progress.max(sm.last_progress);
-        if !idle && out.oldest.is_none_or(|o| (sm.last_progress, sm_id) < o) {
-            out.oldest = Some((sm.last_progress, sm_id));
-        }
-    }
-    if want_wake && out.all_skippable && !out.all_idle {
-        out.min_wake = shard
-            .iter()
-            .filter(|s| !s.idle())
-            .map(|s| s.next_event_cycle())
-            .min()
-            .unwrap_or(u64::MAX);
-    }
-    out
-}
-
-impl ShardOutcome {
-    /// Combine with the outcome of the next-higher shard. `fault` keeps the
-    /// lowest SM id (shards are laid out in ascending id order, so `self`'s
-    /// fault wins), every other field is a plain max/min/and reduction.
-    pub(crate) fn fold(mut self, next: ShardOutcome) -> ShardOutcome {
-        self.all_idle &= next.all_idle;
-        self.all_skippable &= next.all_skippable;
-        self.last_progress = self.last_progress.max(next.last_progress);
-        self.min_wake = self.min_wake.min(next.min_wake);
-        if self.fault.is_none() {
-            self.fault = next.fault;
-        }
-        self.oldest = match (self.oldest, next.oldest) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self
-    }
-}
-
-/// What the device controller decided after seeing a cycle's reduced
-/// [`ShardOutcome`].
+/// What the device controller decided after seeing a cycle's
+/// [`CycleOutcome`].
 #[derive(Debug)]
-pub(crate) enum Decision {
+enum Decision {
     /// All CTAs retired: stop and merge stats.
     Done,
     /// A safety-net fault fired at `cycle`; the caller still owns the
-    /// [`ShardOutcome`] and extracts the lowest-id fault from it.
+    /// [`CycleOutcome`] and extracts the lowest-id fault from it.
     Fault { cycle: u64 },
     /// The no-progress detector fired; diagnostics must be snapshotted from
     /// `sm_id` (the oldest-progress non-idle SM).
@@ -305,17 +227,16 @@ pub(crate) enum Decision {
     },
     /// The absolute cycle bound was (or provably will be) exceeded.
     Watchdog,
-    /// Keep going: step cycle `next_now` next; if `skip_gap > 0`, fold that
-    /// many repeated no-issue cycles into every non-idle SM first.
-    Continue { next_now: u64, skip_gap: u64 },
+    /// Keep going: if `skip_gap > 0`, fold that many repeated no-issue
+    /// cycles into every non-idle SM before stepping the next cycle.
+    Continue { skip_gap: u64 },
 }
 
-/// The device-global control law shared verbatim by the serial and
-/// parallel loops: deadlock/watchdog detection and the event-driven
-/// fast-forward (the global min-wake reduction). One instance advances one
-/// run; both loops feed it identical reduced inputs, so every verdict —
-/// and its exact cycle — is worker-count-invariant by construction.
-pub(crate) struct DeviceClock<'p> {
+/// The device-global control law: deadlock/watchdog detection and the
+/// event-driven fast-forward (the global min-wake reduction). One instance
+/// advances one run; the tick and skip loops differ only in `skipping`, so
+/// every verdict — and its exact cycle — is the same in both.
+struct DeviceClock<'p> {
     now: u64,
     stall_limit: u64,
     watchdog: u64,
@@ -324,7 +245,7 @@ pub(crate) struct DeviceClock<'p> {
 }
 
 impl<'p> DeviceClock<'p> {
-    pub(crate) fn new(cfg: &GpuConfig, skipping: bool, plan: Option<&'p FaultPlan>) -> Self {
+    fn new(cfg: &GpuConfig, skipping: bool, plan: Option<&'p FaultPlan>) -> Self {
         DeviceClock {
             now: 0,
             stall_limit: cfg.stall_limit(),
@@ -334,19 +255,8 @@ impl<'p> DeviceClock<'p> {
         }
     }
 
-    /// The cycle the next [`decide`](Self::decide) expects to have been
-    /// stepped (equals the last `Continue`'s `next_now`).
-    pub(crate) fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Whether this run fast-forwards (and therefore wants wake hints).
-    pub(crate) fn skipping(&self) -> bool {
-        self.skipping
-    }
-
     /// Judge the cycle at `self.now` and advance the clock.
-    pub(crate) fn decide(&mut self, r: &ShardOutcome) -> Decision {
+    fn decide(&mut self, r: &CycleOutcome) -> Decision {
         if r.fault.is_some() {
             return Decision::Fault { cycle: self.now };
         }
@@ -408,22 +318,13 @@ impl<'p> DeviceClock<'p> {
                 self.now = target;
             }
         }
-        Decision::Continue {
-            next_now: self.now,
-            skip_gap,
-        }
-    }
-
-    pub(crate) fn watchdog_error(&self) -> SimError {
-        SimError::WatchdogExpired {
-            limit: self.watchdog,
-        }
+        Decision::Continue { skip_gap }
     }
 }
 
-/// Map a shard-reported [`IssueFault`] to the public error, stamped with
-/// the cycle it fired on.
-pub(crate) fn fault_error(fault: IssueFault, cycle: u64) -> SimError {
+/// Map an SM-reported [`IssueFault`] to the public error, stamped with the
+/// cycle it fired on.
+fn fault_error(fault: IssueFault, cycle: u64) -> SimError {
     match fault {
         IssueFault::Ledger {
             manager,
@@ -452,32 +353,11 @@ pub(crate) fn fault_error(fault: IssueFault, cycle: u64) -> SimError {
     }
 }
 
-/// Snapshot deadlock diagnostics from the decided SM and build the error.
-pub(crate) fn deadlock_error(
-    sms: &[Sm],
-    base: u32,
-    cycle: u64,
-    last_progress: u64,
-    sm_id: u32,
-) -> SimError {
-    let (blocked_at_acquire, srp_holders) = sms
-        .get((sm_id - base) as usize)
-        .map(|s| s.stall_snapshot())
-        .unwrap_or_default();
-    SimError::Deadlock {
-        cycle,
-        last_progress,
-        sm_id,
-        blocked_at_acquire,
-        srp_holders,
-    }
-}
-
 fn run_inner(
     cfg: &GpuConfig,
     kernel: &Kernel,
     launch: LaunchConfig,
-    mut manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager> + Send,
+    mut manager_factory: impl FnMut(u32) -> Box<dyn RegisterManager>,
     traced: bool,
     faults: Option<(&FaultPlan, &Arc<FaultLog>)>,
 ) -> Result<(SimStats, Vec<crate::trace::TraceEvent>), SimError> {
@@ -506,18 +386,10 @@ fn run_inner(
     }
 
     // Tracing wants an event-per-cycle view (per-cycle acquire-stall
-    // events), so the fast-forward path is disabled for traced runs; the
-    // parallel loop is too (tracing is a single-SM debugging aid, and the
-    // serial path keeps its event stream trivially ordered).
+    // events), so the fast-forward path is disabled for traced runs.
     let skipping = cfg.cycle_skipping && !traced;
-    let workers = (cfg.resolved_sm_workers() as usize).clamp(1, sms.len());
     let clock = DeviceClock::new(cfg, skipping, faults.map(|(plan, _)| plan));
-
-    if workers > 1 && !traced {
-        crate::parallel::run_parallel(&mut sms, workers, clock, faults)?;
-    } else {
-        run_serial(&mut sms, clock, faults)?;
-    }
+    run_device(&mut sms, clock, faults)?;
 
     let mut total = SimStats::default();
     for sm in &sms {
@@ -531,43 +403,89 @@ fn run_inner(
     Ok((total, trace))
 }
 
-/// The single-threaded device loop: one shard holding every SM, stepped in
-/// the same epoch structure the parallel loop distributes.
-fn run_serial(
+/// The device loop: apply the fault plan's memory-latency spike for `now`,
+/// step every SM, reduce the controller inputs, and act on the
+/// [`DeviceClock`]'s decision. Wake hints are only gathered when the run is
+/// skipping — the tick loop never reads them.
+///
+/// All SMs step a cycle even after one faults, and the lowest-id fault is
+/// reported.
+fn run_device(
     sms: &mut [Sm],
     mut clock: DeviceClock<'_>,
     faults: Option<(&FaultPlan, &Arc<FaultLog>)>,
 ) -> Result<(), SimError> {
     let mut mem_spike_noted = false;
     loop {
-        let now = clock.now();
-        let mem_extra = faults.map(|(plan, log)| {
+        let now = clock.now;
+        if let Some((plan, log)) = faults {
             let extra = plan.mem_extra_at(now);
             if extra > 0 && !mem_spike_noted {
                 log.note(now);
                 mem_spike_noted = true;
             }
-            extra
-        });
-        let mut out = step_shard(sms, 0, now, mem_extra, clock.skipping());
+            for sm in sms.iter_mut() {
+                sm.set_mem_extra_latency(extra);
+            }
+        }
+        let mut out = CycleOutcome {
+            all_idle: true,
+            all_skippable: true,
+            last_progress: 0,
+            min_wake: u64::MAX,
+            fault: None,
+            oldest: None,
+        };
+        for (sm_id, sm) in (0u32..).zip(sms.iter_mut()) {
+            if let Err(fault) = sm.step(now) {
+                out.fault.get_or_insert(fault);
+            }
+            let idle = sm.idle();
+            out.all_idle &= idle;
+            out.all_skippable &= idle || sm.can_skip();
+            out.last_progress = out.last_progress.max(sm.last_progress);
+            if !idle && out.oldest.is_none_or(|o| (sm.last_progress, sm_id) < o) {
+                out.oldest = Some((sm.last_progress, sm_id));
+            }
+        }
+        if clock.skipping && out.all_skippable && !out.all_idle {
+            out.min_wake = sms
+                .iter()
+                .filter(|s| !s.idle())
+                .map(|s| s.next_event_cycle())
+                .min()
+                .unwrap_or(u64::MAX);
+        }
+
         match clock.decide(&out) {
             Decision::Done => return Ok(()),
             Decision::Fault { cycle } => {
-                let (_, fault) = out.fault.take().expect("decide saw a fault");
+                let fault = out.fault.take().expect("decide saw a fault");
                 return Err(fault_error(fault, cycle));
             }
             Decision::Deadlock {
                 cycle,
                 last_progress,
                 sm_id,
-            } => return Err(deadlock_error(sms, 0, cycle, last_progress, sm_id)),
-            Decision::Watchdog => return Err(clock.watchdog_error()),
-            Decision::Continue { skip_gap, .. } => {
+            } => {
+                let (blocked_at_acquire, srp_holders) = sms[sm_id as usize].stall_snapshot();
+                return Err(SimError::Deadlock {
+                    cycle,
+                    last_progress,
+                    sm_id,
+                    blocked_at_acquire,
+                    srp_holders,
+                });
+            }
+            Decision::Watchdog => {
+                return Err(SimError::WatchdogExpired {
+                    limit: clock.watchdog,
+                })
+            }
+            Decision::Continue { skip_gap } => {
                 if skip_gap > 0 {
-                    for sm in sms.iter_mut() {
-                        if !sm.idle() {
-                            sm.skip_ahead(skip_gap);
-                        }
+                    for sm in sms.iter_mut().filter(|s| !s.idle()) {
+                        sm.skip_ahead(skip_gap);
                     }
                 }
             }

@@ -43,7 +43,6 @@ fn compute() -> String {
                 };
                 cfg.cycle_skipping = skipping;
                 cfg.policy = policy;
-                cfg.sm_workers = 1;
                 let session = Session::new(cfg);
                 let compiled = session
                     .compile(&g.kernel)
