@@ -18,14 +18,12 @@
 //! Every job is panic-isolated and capped by a cycle budget derived from
 //! its golden run, so a campaign always terminates with a full report.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use regmutex::{RunError, Session, Technique};
-use regmutex_durable::Journal;
+use regmutex_durable::Campaign;
 use regmutex_sim::fault::{FaultClass, FaultLog, FaultPlan, Severity};
 use regmutex_sim::{GpuConfig, SimError};
 use regmutex_workloads::{suite, Workload};
@@ -335,7 +333,7 @@ fn decode_outcome(s: &str) -> Option<Outcome> {
 /// resume against a journal whose meta differs from the current
 /// invocation is a diagnosed refusal, because injection indices would
 /// mean different jobs.
-fn meta_line(spec: &CampaignSpec) -> String {
+pub fn meta_line(spec: &CampaignSpec) -> String {
     let opt = |v: Option<u64>| v.map_or("-".to_string(), |x| x.to_string());
     format!(
         "meta kind=chaos technique={} seeds={} watchdog={} stall={} matrix={} workloads={}",
@@ -348,89 +346,14 @@ fn meta_line(spec: &CampaignSpec) -> String {
     )
 }
 
-/// Durable campaign state for `chaos --journal`: the append handle plus
-/// the injections replayed from a previous run.
-#[derive(Debug)]
-pub struct ChaosJournal {
-    journal: Mutex<Journal>,
-    completed: HashMap<usize, Outcome>,
+fn injection_record(index: usize, outcome: &Outcome) -> String {
+    format!("inj index={index} outcome={}", encode_outcome(outcome))
 }
 
-impl ChaosJournal {
-    fn log_path(dir: &Path) -> std::path::PathBuf {
-        dir.join("journal.log")
-    }
-
-    /// Start a fresh campaign journal under `dir` (truncating any
-    /// previous journal there).
-    pub fn create(dir: &Path, spec: &CampaignSpec) -> Result<ChaosJournal, String> {
-        let mut journal = Journal::create(&Self::log_path(dir))
-            .map_err(|e| format!("cannot create journal in {}: {e}", dir.display()))?;
-        journal.append(&meta_line(spec));
-        journal.sync();
-        Ok(ChaosJournal {
-            journal: Mutex::new(journal),
-            completed: HashMap::new(),
-        })
-    }
-
-    /// Resume from an existing journal: verify the campaign meta matches
-    /// this invocation, then fold every intact `inj` record. Recovery
-    /// diagnostics (torn tail, quarantined records) go to stderr.
-    pub fn resume(dir: &Path, spec: &CampaignSpec) -> Result<ChaosJournal, String> {
-        let (journal, replay) = Journal::open(&Self::log_path(dir)).map_err(|e| e.to_string())?;
-        for d in &replay.diagnostics {
-            eprintln!("[chaos] journal recovery: {d}");
-        }
-        let mut records = replay.records.iter();
-        match records.next() {
-            Some(meta) if *meta == meta_line(spec) => {}
-            Some(meta) => {
-                return Err(format!(
-                    "journal campaign mismatch: journal has `{meta}`, \
-                     this invocation is `{}`; refusing to resume",
-                    meta_line(spec)
-                ))
-            }
-            None => {
-                // Recovery ate everything (or the journal never got its
-                // meta): nothing to resume, start clean on the same file.
-                return ChaosJournal::create(dir, spec);
-            }
-        }
-        let mut completed = HashMap::new();
-        for rec in records {
-            if let Some((index, outcome)) = parse_injection_record(rec) {
-                // Keep the first occurrence: duplicated records (replayed
-                // writes) must not flip an outcome.
-                completed.entry(index).or_insert(outcome);
-            }
-        }
-        Ok(ChaosJournal {
-            journal: Mutex::new(journal),
-            completed,
-        })
-    }
-
-    /// Injections already completed by a previous run.
-    pub fn completed(&self) -> usize {
-        self.completed.len()
-    }
-
-    fn record(&self, index: usize, outcome: &Outcome) {
-        self.journal.lock().unwrap().append(&format!(
-            "inj index={index} outcome={}",
-            encode_outcome(outcome)
-        ));
-    }
-
-    /// Flush batched appends (checkpoint boundary).
-    pub fn sync(&self) {
-        self.journal.lock().unwrap().sync();
-    }
-}
-
-fn parse_injection_record(rec: &str) -> Option<(usize, Outcome)> {
+/// Decode one `inj` record into its injection index and outcome; `None`
+/// for anything else (the injection then re-runs). The decoder for
+/// [`Campaign::open`] on a chaos journal.
+pub fn parse_injection_record(rec: &str) -> Option<(usize, Outcome)> {
     let rest = rec.strip_prefix("inj index=")?;
     let (index, outcome) = rest.split_once(" outcome=")?;
     Some((index.parse().ok()?, decode_outcome(outcome)?))
@@ -468,7 +391,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
 /// byte-identically to an uninterrupted one at any worker count.
 pub fn run_campaign_durable(
     spec: &CampaignSpec,
-    journal: Option<&ChaosJournal>,
+    journal: Option<&Campaign<usize, Outcome>>,
     cancel: Option<&(dyn Fn() -> bool + Sync)>,
 ) -> Result<ChaosRun, String> {
     // Resolve workloads and establish each one's golden (fault-free) run.
@@ -520,8 +443,10 @@ pub fn run_campaign_durable(
     // deterministic job list, which the verified meta record pins).
     let mut replayed: Vec<(usize, Injection)> = Vec::new();
     if let Some(j) = journal {
-        for (&index, outcome) in &j.completed {
-            let Some(job) = jobs.get(index) else { continue };
+        for (index, job) in jobs.iter().enumerate() {
+            let Some(outcome) = j.replayed(&index) else {
+                continue;
+            };
             replayed.push((
                 index,
                 Injection {
@@ -533,7 +458,6 @@ pub fn run_campaign_durable(
             ));
         }
     }
-    let skip: std::collections::HashSet<usize> = replayed.iter().map(|(n, _)| *n).collect();
 
     let done: Mutex<Vec<(usize, Injection)>> = Mutex::new(replayed);
     let cursor = AtomicUsize::new(0);
@@ -553,7 +477,7 @@ pub fn run_campaign_durable(
                 }
                 let n = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(n) else { break };
-                if skip.contains(&n) {
+                if journal.is_some_and(|j| j.replayed(&n).is_some()) {
                     continue;
                 }
                 let (w, cfg, golden_cycles, golden_checksum) = &targets[job.windex];
@@ -568,7 +492,7 @@ pub fn run_campaign_durable(
                     *golden_checksum,
                 );
                 if let Some(j) = journal {
-                    j.record(n, &outcome);
+                    j.append(&n, &injection_record(n, &outcome));
                 }
                 done.lock().unwrap().push((
                     n,
@@ -667,6 +591,7 @@ fn run_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn matrix_covers_every_class() {
@@ -731,6 +656,17 @@ mod tests {
         }
     }
 
+    fn open(dir: &Path, spec: &CampaignSpec, resume: bool) -> Campaign<usize, Outcome> {
+        Campaign::open(
+            dir,
+            &meta_line(spec),
+            resume,
+            "chaos",
+            parse_injection_record,
+        )
+        .unwrap()
+    }
+
     fn journal_dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!(
             "rmx-chaos-{tag}-{}-{:?}",
@@ -748,7 +684,7 @@ mod tests {
 
         // Run with a journal, cancelling after a few completions.
         let dir = journal_dir("resume");
-        let journal = ChaosJournal::create(&dir, &spec).unwrap();
+        let journal = open(&dir, &spec, false);
         let polls = AtomicUsize::new(0);
         let cancel = move || polls.fetch_add(1, Ordering::Relaxed) >= 6;
         let first =
@@ -765,7 +701,7 @@ mod tests {
 
         // Resume: replay the journal, run only the remainder, and the
         // assembled report must byte-match the uninterrupted golden.
-        let journal = ChaosJournal::resume(&dir, &spec).unwrap();
+        let journal = open(&dir, &spec, true);
         assert_eq!(journal.completed(), completed);
         match run_campaign_durable(&spec, Some(&journal), None).unwrap() {
             ChaosRun::Complete(report) => {
@@ -779,13 +715,58 @@ mod tests {
     fn resume_with_different_campaign_is_refused() {
         let spec = tiny_spec();
         let dir = journal_dir("mismatch");
-        drop(ChaosJournal::create(&dir, &spec).unwrap());
+        drop(open(&dir, &spec, false));
         let mut other = spec.clone();
         other.seeds = 3;
-        let err = ChaosJournal::resume(&dir, &other).unwrap_err();
+        let resume = |spec: &CampaignSpec| {
+            Campaign::open(
+                &dir,
+                &meta_line(spec),
+                true,
+                "chaos",
+                parse_injection_record,
+            )
+        };
+        let err = resume(&other).unwrap_err();
         assert!(err.contains("refusing to resume"), "{err}");
         // The matching spec resumes fine.
-        assert!(ChaosJournal::resume(&dir, &spec).is_ok());
+        assert!(resume(&spec).is_ok());
+    }
+
+    #[test]
+    fn journal_written_by_an_earlier_build_resumes() {
+        // The exact on-disk vocabulary, as literals: the meta line of
+        // `chaos BFS --seeds 1` (RegMutex) and two injection records.
+        let spec = tiny_spec();
+        let dir = journal_dir("compat");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut j = regmutex_durable::Journal::create(&dir.join("journal.log")).unwrap();
+        for rec in [
+            "meta kind=chaos technique=regmutex seeds=1 watchdog=- stall=- matrix=11 workloads=BFS",
+            "inj index=0 outcome=detected:ledger:42",
+            "inj index=3 outcome=silent:0x0000000000000001:0x0000000000000002",
+        ] {
+            j.append(rec);
+        }
+        j.sync();
+        drop(j);
+
+        let journal = open(&dir, &spec, true);
+        assert_eq!(journal.completed(), 2);
+        assert_eq!(
+            journal.replayed(&0),
+            Some(&Outcome::Detected {
+                detector: "ledger",
+                cycles_to_detection: Some(42),
+            })
+        );
+        assert_eq!(
+            journal.replayed(&3),
+            Some(&Outcome::SilentCorruption {
+                expected: 1,
+                got: 2,
+            })
+        );
     }
 
     #[test]

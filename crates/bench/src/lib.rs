@@ -18,7 +18,7 @@ pub mod runner;
 pub mod source;
 
 pub use cache::{CachedResult, DurableTier, ResultCache, DEFAULT_CACHE_BUDGET};
-pub use chaos::{CampaignReport, CampaignSpec, ChaosJournal, ChaosRun, Outcome};
+pub use chaos::{CampaignReport, CampaignSpec, ChaosRun, Outcome};
 pub use report::{fmt_pct, GeoMean, RowArityError, Table};
 pub use runner::{error_table, JobSpec, Runner};
 pub use source::{Fig07Source, JobExecutor, JobSource, MatrixJob};

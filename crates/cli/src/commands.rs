@@ -1,18 +1,15 @@
 //! Command implementations. Each returns its output as a `String` so tests
 //! can assert on it; `main.rs` prints.
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
 use regmutex::{cycle_reduction_percent, Session, Technique, ALL_TECHNIQUES};
-use regmutex_bench::chaos::{run_campaign, run_campaign_durable, CampaignSpec, ChaosRun};
-use regmutex_bench::{
-    runner::default_jobs, ChaosJournal, Fig07Source, JobExecutor, JobSource, JobSpec, Runner,
-};
+use regmutex_bench::chaos::{self, run_campaign, run_campaign_durable, CampaignSpec, ChaosRun};
+use regmutex_bench::{runner::default_jobs, Fig07Source, JobExecutor, JobSource, JobSpec, Runner};
 use regmutex_compiler::{analyze, live_trace, CompileOptions};
-use regmutex_durable::Journal;
+use regmutex_durable::{decode_job_ok, Campaign};
 use regmutex_fleet::{
     is_checkpoint, run_fleet_campaign, run_fleet_loadgen, Coordinator, FleetCampaignSpec,
     FleetConfig, FleetJournal, FleetLoadgenConfig,
@@ -400,65 +397,11 @@ pub fn trace(app: &str, max_steps: usize) -> Result<String, CommandError> {
     Ok(out)
 }
 
-/// The sweep's durable campaign state: a checksummed journal pinning the
-/// workload identity and recording per-job completions, plus the set of
-/// fingerprints a previous run already finished. Results themselves live
-/// in the content-addressed [`DiskTier`] the runner probes before
-/// simulating, so replayed rows cost a disk read, not a simulation.
-struct SweepJournal {
-    journal: Journal,
-    replayed: HashSet<u64>,
-}
-
-impl SweepJournal {
-    fn meta(app: &str) -> String {
-        format!("meta kind=sweep app={app}")
-    }
-
-    fn open(dir: &Path, app: &str, resume: bool) -> Result<SweepJournal, CommandError> {
-        let path = dir.join("journal.log");
-        if !resume {
-            let mut journal = Journal::create(&path).map_err(|e| {
-                CommandError(format!("cannot create journal in {}: {e}", dir.display()))
-            })?;
-            journal.append(&Self::meta(app));
-            journal.sync();
-            return Ok(SweepJournal {
-                journal,
-                replayed: HashSet::new(),
-            });
-        }
-        let (journal, replay) =
-            Journal::open(&path).map_err(|e| CommandError(format!("open journal: {e}")))?;
-        for d in &replay.diagnostics {
-            eprintln!("[sweep] journal recovery: {d}");
-        }
-        let mut records = replay.records.iter();
-        match records.next() {
-            Some(meta) if *meta == Self::meta(app) => {}
-            Some(meta) => {
-                return Err(CommandError(format!(
-                    "journal campaign mismatch: journal has `{meta}`, this invocation \
-                     is `{}`; refusing to resume",
-                    Self::meta(app)
-                )));
-            }
-            None => return SweepJournal::open(dir, app, false),
-        }
-        let replayed = records
-            .filter_map(|r| {
-                r.strip_prefix("job-ok fp=")
-                    .and_then(|h| u64::from_str_radix(h, 16).ok())
-            })
-            .collect();
-        Ok(SweepJournal { journal, replayed })
-    }
-
-    fn job_ok(&mut self, fp: u64) {
-        if !self.replayed.contains(&fp) {
-            self.journal.append(&format!("job-ok fp={fp:016x}"));
-        }
-    }
+/// Open the content-addressed result store under a campaign's journal
+/// directory.
+fn result_store(dir: &Path) -> Result<Arc<DiskTier>, CommandError> {
+    DiskTier::shared(dir)
+        .map_err(|e| CommandError(format!("open result store in {}: {e}", dir.display())))
 }
 
 /// `sweep <app>`. The second element of the pair is the process exit code:
@@ -503,24 +446,19 @@ pub fn sweep(
         Some(dir) => {
             // Durable mode: persist results content-addressed, journal
             // completions, and poll for SIGINT/SIGTERM between batches.
+            // The workload identity is pinned; results themselves live in
+            // the store the runner probes before simulating, so replayed
+            // rows cost a disk read, not a simulation.
             signal::install();
             let dir = Path::new(dir);
-            let tier = DiskTier::shared(dir).map_err(|e| {
-                CommandError(format!("open result store in {}: {e}", dir.display()))
-            })?;
-            runner.set_tier(tier);
-            let mut journal = SweepJournal::open(dir, app, resume)?;
-            if resume && !journal.replayed.is_empty() {
-                eprintln!(
-                    "[sweep] resuming: {} of {} jobs already journaled",
-                    journal.replayed.len(),
-                    specs.len()
-                );
-            }
+            runner.set_tier(result_store(dir)?);
+            let meta = format!("meta kind=sweep app={app}");
+            let journal =
+                Campaign::open(dir, &meta, resume, "sweep", decode_job_ok).map_err(CommandError)?;
             let mut collected = Vec::with_capacity(specs.len());
             for batch in specs.chunks(runner.jobs().max(1)) {
                 if signal::triggered() {
-                    journal.journal.sync();
+                    journal.sync();
                     let msg =
                         checkpoint_hint("sweep", dir, collected.len() as u64, specs.len() as u64);
                     eprint!("{msg}");
@@ -534,7 +472,7 @@ pub fn sweep(
                 }
                 collected.extend(results);
             }
-            journal.journal.sync();
+            journal.sync();
             collected
         }
     };
@@ -616,18 +554,10 @@ pub fn chaos(
         Some(dir) => {
             signal::install();
             let dir = Path::new(dir);
-            let journal = if resume {
-                ChaosJournal::resume(dir, &spec)
-            } else {
-                ChaosJournal::create(dir, &spec)
-            }
-            .map_err(CommandError)?;
-            if resume && journal.completed() > 0 {
-                eprintln!(
-                    "[chaos] resuming: {} injections already journaled",
-                    journal.completed()
-                );
-            }
+            let meta = chaos::meta_line(&spec);
+            let journal =
+                Campaign::open(dir, &meta, resume, "chaos", chaos::parse_injection_record)
+                    .map_err(CommandError)?;
             let cancel: &(dyn Fn() -> bool + Sync) = &signal::triggered;
             match run_campaign_durable(&spec, Some(&journal), Some(cancel)).map_err(CommandError)? {
                 ChaosRun::Complete(report) => report,
@@ -715,9 +645,7 @@ pub fn coordinator(
     if let Some(dir) = journal_dir {
         signal::install();
         let dir = Path::new(dir);
-        let tier = DiskTier::shared(dir)
-            .map_err(|e| CommandError(format!("open result store in {}: {e}", dir.display())))?;
-        coordinator.set_tier(tier);
+        coordinator.set_tier(result_store(dir)?);
         // The campaign identity pins the job matrix (which jobs run), not
         // the throughput knobs — the determinism contract lets a resumed
         // run use a different worker list, seed, or thread count.
@@ -725,25 +653,11 @@ pub fn coordinator(
             "fig07 budget={}",
             cycle_budget.map_or_else(|| "-".to_string(), |b| b.to_string())
         );
-        let journal = if resume {
-            FleetJournal::resume(dir, &campaign)
-        } else {
-            FleetJournal::create(dir, &campaign)
-        }
-        .map_err(CommandError)?;
-        let journal = Arc::new(journal);
-        if resume {
-            if journal.completed() > 0 {
-                eprintln!(
-                    "[coordinator] resuming: {} jobs already journaled",
-                    journal.completed()
-                );
-            }
-            // Restore journaled circuit-breaker state; execute() re-probes
-            // before dispatching so a recovered worker is re-admitted.
-            coordinator.quarantine_workers(journal.quarantined());
-        }
-        coordinator.set_journal(journal);
+        let journal = FleetJournal::open(dir, &campaign, resume).map_err(CommandError)?;
+        // Restore journaled circuit-breaker state; execute() re-probes
+        // before dispatching so a recovered worker is re-admitted.
+        coordinator.quarantine_workers(journal.quarantined());
+        coordinator.set_journal(Arc::new(journal));
         coordinator.set_cancel(Arc::new(signal::triggered));
     }
     let source = Fig07Source;
@@ -905,22 +819,11 @@ pub fn fuzz(
         Some(dir) => {
             signal::install();
             let dir = Path::new(dir);
-            let tier = DiskTier::shared(dir).map_err(|e| {
-                CommandError(format!("open result store in {}: {e}", dir.display()))
-            })?;
-            runner.set_tier(tier);
-            let journal = if resume {
-                regmutex_fuzz::FuzzJournal::resume(dir, &cfg)
-            } else {
-                regmutex_fuzz::FuzzJournal::create(dir, &cfg)
-            }
-            .map_err(CommandError)?;
-            if resume && journal.completed() > 0 {
-                eprintln!(
-                    "[fuzz] resuming: {} kernels already journaled",
-                    journal.completed()
-                );
-            }
+            runner.set_tier(result_store(dir)?);
+            let meta = regmutex_fuzz::journal::meta_line(&cfg);
+            let decode = regmutex_fuzz::journal::parse_kernel_record;
+            let journal =
+                Campaign::open(dir, &meta, resume, "fuzz", decode).map_err(CommandError)?;
             let cancel: &dyn Fn() -> bool = &signal::triggered;
             match regmutex_fuzz::run_campaign_durable(&cfg, &runner, Some(&journal), Some(cancel)) {
                 regmutex_fuzz::FuzzRun::Complete(report) => report,
@@ -1232,6 +1135,38 @@ mod tests {
         // A journal from a different campaign is refused.
         let err = sweep("SAD", Some(1), Some(&dir_s), true).unwrap_err();
         assert!(err.0.contains("refusing to resume"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sweep_journal_written_by_an_earlier_build_resumes() {
+        let dir = std::env::temp_dir().join(format!("rmx-cli-sweep-compat-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_s = dir.to_string_lossy().into_owned();
+        // The exact on-disk vocabulary, as literals: the `sweep BFS` meta
+        // line and the completions of its baseline and `|Es|=2` rows.
+        let journaled = ["job-ok fp=9db3ed60262104d6", "job-ok fp=472f338bf235a5b0"];
+        let mut j = regmutex_durable::Journal::create(&dir.join("journal.log")).unwrap();
+        j.append("meta kind=sweep app=BFS");
+        for rec in journaled {
+            j.append(rec);
+        }
+        j.sync();
+        drop(j);
+
+        let (golden, _) = sweep("BFS", Some(1), None, false).unwrap();
+        let (resumed, code) = sweep("BFS", Some(1), Some(&dir_s), true).unwrap();
+        assert_eq!(code, 0);
+        assert_eq!(resumed, golden);
+        // The resume kept the journal and replayed both completions: each
+        // is journaled once, and the other five rows were appended.
+        let (_, replay) = regmutex_durable::Journal::open(&dir.join("journal.log")).unwrap();
+        assert_eq!(replay.records[0], "meta kind=sweep app=BFS");
+        let oks: Vec<&String> = replay.records[1..].iter().collect();
+        assert_eq!(oks.len(), 7, "{oks:?}");
+        assert_eq!(oks[..2], journaled);
+        let unique: std::collections::HashSet<_> = oks.iter().collect();
+        assert_eq!(unique.len(), 7, "a replayed completion was re-journaled");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,22 +8,18 @@
 use std::collections::{HashMap, HashSet};
 
 use regmutex::hw::bitmask::{SectionLut, SrpBitmask, WarpStatusBitmask};
+use regmutex_isa::XorShift;
 
 /// Deterministic xorshift64* PRNG (same construction as `tests/common`).
-struct Rng(u64);
+struct Rng(XorShift);
 
 impl Rng {
     fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+        Rng(XorShift::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
     }
 
     fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        self.0.next_u64()
     }
 
     fn below(&mut self, n: u64) -> u64 {

@@ -127,7 +127,7 @@ impl Journal {
                 io::ErrorKind::InvalidData,
                 format!(
                     "{} is not a regmutex journal (bad file header); \
-                     refusing to resume from it",
+                     refusing to replay it",
                     path.display()
                 ),
             ));

@@ -5,7 +5,8 @@
 //! matrix, fleet coordination, the mass fuzzer — used to keep all
 //! campaign progress in memory, so a SIGKILL at hour three lost
 //! everything. This crate provides the two durable primitives they
-//! journal through (see DESIGN.md §11):
+//! journal through, plus the one campaign layer they all share (see
+//! DESIGN.md §11):
 //!
 //! - [`Journal`]: an append-only record log. Each record is
 //!   length-prefixed and carries an FNV-1a checksum over its length and
@@ -18,8 +19,13 @@
 //!   checksummed header. Content addressing makes the store safely
 //!   shareable across campaigns: a key either maps to the one result it
 //!   fingerprints or to nothing.
+//! - [`Campaign`]: a resumable campaign over a journal — the meta-line
+//!   identity check, the restart after a recovery that left nothing,
+//!   keep-first folding of completion records through a caller-supplied
+//!   decoder, and skip-if-replayed appends. Each campaign keeps only its
+//!   meta line and record codec.
 //!
-//! Both degrade rather than abort: any write-side I/O error (ENOSPC,
+//! Both primitives degrade rather than abort: any write-side I/O error (ENOSPC,
 //! EIO, a yanked disk) flips the instance to in-memory-only operation
 //! with a one-time stderr warning and bumps a process-wide counter
 //! ([`degradation_count`]) that the server exposes as
@@ -27,15 +33,18 @@
 //! it just stops being resumable past that point.
 //!
 //! The crate is std-only and dependency-free: payloads are opaque
-//! bytes/UTF-8 here, and each campaign layer defines its own record
-//! vocabulary on top.
+//! bytes/UTF-8 to the journal; [`Campaign`] callers supply the meta line
+//! and the record decoder, so the record vocabulary of each campaign kind
+//! stays next to the code that writes it.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+pub mod campaign;
 pub mod journal;
 pub mod store;
 
+pub use campaign::{decode_job_ok, Campaign};
 pub use journal::{Journal, Replay};
 pub use store::ResultStore;
 

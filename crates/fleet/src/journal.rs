@@ -12,110 +12,73 @@
 //! re-probes every journaled quarantine before dispatching
 //! ([`Coordinator::reprobe_quarantined`](crate::Coordinator::reprobe_quarantined)).
 //!
-//! Corruption handling is inherited from [`regmutex_durable::Journal`]
-//! (torn tails truncated, flipped bits quarantined) plus keep-first
-//! semantics here: a `job-ok` set cannot be flipped by duplicates, and an
+//! The resume mechanics — meta check, keep-first `job-ok` fold,
+//! corruption handling — come from [`regmutex_durable::Campaign`]. This
+//! module keeps only what is fleet-specific: the meta line and the
+//! last-wins quarantine/readmit fold, which runs inside the decoder. An
 //! undecodable record is simply absent — the job re-dispatches, which is
 //! safe because results are verified end-to-end.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Mutex;
 
-use regmutex_durable::Journal;
+use regmutex_durable::{decode_job_ok, Campaign};
 
-/// Durable campaign state: the append handle plus the completions and
-/// final worker-health state replayed from a previous run.
+/// Durable campaign state: the shared [`Campaign`] (keyed by job
+/// fingerprint) plus the final worker-health state replayed from a
+/// previous run.
 #[derive(Debug)]
 pub struct FleetJournal {
-    journal: Mutex<Journal>,
-    completed: HashSet<u64>,
+    campaign: Campaign<u64, ()>,
     quarantined: Vec<String>,
 }
 
 impl FleetJournal {
-    fn log_path(dir: &Path) -> std::path::PathBuf {
-        dir.join("journal.log")
-    }
-
-    fn meta_line(campaign: &str) -> String {
-        format!("meta kind=fleet {campaign}")
-    }
-
-    /// Start a fresh campaign journal under `dir` (truncating any
-    /// previous journal there). `campaign` pins the job matrix identity —
-    /// everything that determines *which* jobs run, excluding throughput
-    /// knobs (worker list, threads, seed) that the determinism contract
-    /// proves output-irrelevant.
-    pub fn create(dir: &Path, campaign: &str) -> Result<FleetJournal, String> {
-        let mut journal = Journal::create(&Self::log_path(dir))
-            .map_err(|e| format!("cannot create journal in {}: {e}", dir.display()))?;
-        journal.append(&Self::meta_line(campaign));
-        journal.sync();
-        Ok(FleetJournal {
-            journal: Mutex::new(journal),
-            completed: HashSet::new(),
-            quarantined: Vec::new(),
-        })
-    }
-
-    /// Resume from an existing journal: verify the campaign identity,
-    /// fold completions, and reduce quarantine/readmit transitions to the
-    /// final per-worker state. Recovery diagnostics go to stderr.
-    pub fn resume(dir: &Path, campaign: &str) -> Result<FleetJournal, String> {
-        let (journal, replay) = Journal::open(&Self::log_path(dir)).map_err(|e| e.to_string())?;
-        for d in &replay.diagnostics {
-            eprintln!("[fleet] journal recovery: {d}");
-        }
-        let mut records = replay.records.iter();
-        match records.next() {
-            Some(meta) if *meta == Self::meta_line(campaign) => {}
-            Some(meta) => {
-                return Err(format!(
-                    "journal campaign mismatch: journal has `{meta}`, \
-                     this invocation is `{}`; refusing to resume",
-                    Self::meta_line(campaign)
-                ));
-            }
-            None => return FleetJournal::create(dir, campaign),
-        }
-        let mut completed = HashSet::new();
-        let mut health: HashMap<&str, bool> = HashMap::new();
-        for rec in records {
-            if let Some(fp) = rec
-                .strip_prefix("job-ok fp=")
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-            {
-                completed.insert(fp);
-            } else if let Some(addr) = rec.strip_prefix("quarantine addr=") {
-                health.insert(addr, true);
-            } else if let Some(addr) = rec.strip_prefix("readmit addr=") {
-                health.insert(addr, false);
-            }
-            // Anything else is an unknown/corrupt record: ignore it. A
-            // missing job-ok re-dispatches; a missing health transition
-            // is corrected by the resume re-probe.
-        }
+    /// Start (`resume == false`) or resume the campaign journaled under
+    /// `dir`. `campaign` pins the job matrix identity — everything that
+    /// determines *which* jobs run, excluding throughput knobs (worker
+    /// list, threads, seed) that the determinism contract proves
+    /// output-irrelevant. On resume, quarantine/readmit transitions fold
+    /// last-wins to the final per-worker state.
+    pub fn open(dir: &Path, campaign: &str, resume: bool) -> Result<FleetJournal, String> {
+        let mut health: HashMap<String, bool> = HashMap::new();
+        let campaign = Campaign::open(
+            dir,
+            &format!("meta kind=fleet {campaign}"),
+            resume,
+            "fleet",
+            |rec| {
+                if let Some(addr) = rec.strip_prefix("quarantine addr=") {
+                    health.insert(addr.to_string(), true);
+                } else if let Some(addr) = rec.strip_prefix("readmit addr=") {
+                    health.insert(addr.to_string(), false);
+                }
+                // Anything else that is not a job-ok is unknown/corrupt:
+                // a missing job-ok re-dispatches; a missing health
+                // transition is corrected by the resume re-probe.
+                decode_job_ok(rec)
+            },
+        )?;
         let quarantined = health
             .into_iter()
             .filter(|&(_, q)| q)
-            .map(|(addr, _)| addr.to_string())
+            .map(|(addr, _)| addr)
             .collect();
         Ok(FleetJournal {
-            journal: Mutex::new(journal),
-            completed,
+            campaign,
             quarantined,
         })
     }
 
-    /// Verified job completions replayed from a previous run.
-    pub fn completed(&self) -> usize {
-        self.completed.len()
+    /// [`FleetJournal::open`] for a fresh campaign (truncating any
+    /// previous journal under `dir`).
+    pub fn create(dir: &Path, campaign: &str) -> Result<FleetJournal, String> {
+        FleetJournal::open(dir, campaign, false)
     }
 
-    /// Whether `fp` was journaled as complete by a previous run.
-    pub fn contains(&self, fp: u64) -> bool {
-        self.completed.contains(&fp)
+    /// [`FleetJournal::open`] resuming an existing journal.
+    pub fn resume(dir: &Path, campaign: &str) -> Result<FleetJournal, String> {
+        FleetJournal::open(dir, campaign, true)
     }
 
     /// Workers whose final journaled state was quarantined. Feed these to
@@ -126,32 +89,22 @@ impl FleetJournal {
     }
 
     pub(crate) fn job_ok(&self, fp: u64) {
-        if self.completed.contains(&fp) {
-            return; // already journaled by the run being resumed
-        }
-        self.journal
-            .lock()
-            .unwrap()
-            .append(&format!("job-ok fp={fp:016x}"));
+        self.campaign.job_ok(fp);
     }
 
     pub(crate) fn quarantine(&self, addr: &str) {
-        self.journal
-            .lock()
-            .unwrap()
-            .append(&format!("quarantine addr={addr}"));
+        self.campaign
+            .append_unkeyed(&format!("quarantine addr={addr}"));
     }
 
     pub(crate) fn readmit(&self, addr: &str) {
-        self.journal
-            .lock()
-            .unwrap()
-            .append(&format!("readmit addr={addr}"));
+        self.campaign
+            .append_unkeyed(&format!("readmit addr={addr}"));
     }
 
     /// Flush batched appends (checkpoint boundary).
     pub fn sync(&self) {
-        self.journal.lock().unwrap().sync();
+        self.campaign.sync();
     }
 }
 
@@ -184,8 +137,9 @@ mod tests {
         drop(j);
 
         let j = FleetJournal::resume(&d, "fig07 budget=-").unwrap();
-        assert_eq!(j.completed(), 2);
-        assert!(j.contains(0xabc) && j.contains(0xdef) && !j.contains(0x123));
+        assert_eq!(j.campaign.completed(), 2);
+        let contains = |fp| j.campaign.replayed(&fp).is_some();
+        assert!(contains(0xabc) && contains(0xdef) && !contains(0x123));
         assert_eq!(j.quarantined(), ["w2:2"]);
         // A replayed completion is not re-journaled.
         j.job_ok(0xabc);
@@ -193,7 +147,33 @@ mod tests {
         j.sync();
         drop(j);
         let j = FleetJournal::resume(&d, "fig07 budget=-").unwrap();
-        assert_eq!(j.completed(), 3);
+        assert_eq!(j.campaign.completed(), 3);
+    }
+
+    #[test]
+    fn journal_written_by_an_earlier_build_resumes() {
+        // The exact on-disk vocabulary: meta line, job-ok records and
+        // health transitions, as literals.
+        let d = dir("compat");
+        let mut j = regmutex_durable::Journal::create(&d.join("journal.log")).unwrap();
+        for rec in [
+            "meta kind=fleet fig07 budget=-",
+            "job-ok fp=00000000deadbeef",
+            "quarantine addr=127.0.0.1:9001",
+            "job-ok fp=0123456789abcdef",
+            "quarantine addr=127.0.0.1:9002",
+            "readmit addr=127.0.0.1:9001",
+        ] {
+            j.append(rec);
+        }
+        j.sync();
+        drop(j);
+
+        let j = FleetJournal::resume(&d, "fig07 budget=-").unwrap();
+        assert_eq!(j.campaign.completed(), 2);
+        assert!(j.campaign.replayed(&0xdead_beef).is_some());
+        assert!(j.campaign.replayed(&0x0123_4567_89ab_cdef).is_some());
+        assert_eq!(j.quarantined(), ["127.0.0.1:9002"]);
     }
 
     #[test]

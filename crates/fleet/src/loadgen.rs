@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use regmutex::Technique;
 use regmutex_bench::{MatrixJob, Table};
+use regmutex_isa::XorShift;
 use regmutex_workloads::suite;
 
 use crate::coordinator::Coordinator;
@@ -164,26 +165,9 @@ impl FleetLoadgenReport {
     }
 }
 
-/// xorshift64* — the repo-wide seeded PRNG convention.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[(self.next() % items.len() as u64) as usize]
-    }
+/// A uniformly drawn element of `items`.
+fn pick<'a, T>(rng: &mut XorShift, items: &'a [T]) -> &'a T {
+    &items[(rng.next_u64() % items.len() as u64) as usize]
 }
 
 /// Drive the coordinator closed-loop and aggregate every thread's tallies.
@@ -219,9 +203,10 @@ pub fn run_fleet_loadgen(
             let report = &report;
             let seed = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             s.spawn(move || {
-                let mut rng = Rng::new(seed);
+                let mut rng = XorShift::new(seed.max(1));
                 for _ in 0..cfg.requests {
-                    let mut job = MatrixJob::new(rng.pick(names).clone(), *rng.pick(techniques));
+                    let mut job =
+                        MatrixJob::new(pick(&mut rng, names).clone(), *pick(&mut rng, techniques));
                     job.cycle_budget = cfg.cycle_budget;
                     let sent = Instant::now();
                     let (result, trace) = coordinator.run_traced(&job);

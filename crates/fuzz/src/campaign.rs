@@ -13,11 +13,12 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use regmutex_bench::{JobSpec, Runner};
+use regmutex_durable::Campaign;
 use regmutex_isa::mix;
 
 use crate::artifact::{Artifact, Expectation};
 use crate::gen::{generate, Generated};
-use crate::journal::{FuzzJournal, KernelRecord};
+use crate::journal::{encode_record, KernelRecord};
 use crate::minimize::minimize;
 use crate::oracle::{
     run_faulted, run_faulted_pair, run_local, run_pair, Divergence, OracleConfig, Outcome,
@@ -170,7 +171,7 @@ pub fn run_campaign(cfg: &CampaignConfig, runner: &Runner) -> FuzzReport {
 pub fn run_campaign_durable(
     cfg: &CampaignConfig,
     runner: &Runner,
-    journal: Option<&FuzzJournal>,
+    journal: Option<&Campaign<u64, KernelRecord>>,
     cancel: Option<&dyn Fn() -> bool>,
 ) -> FuzzRun {
     let started = Instant::now();
@@ -187,7 +188,7 @@ pub fn run_campaign_durable(
     // past it re-runs, which is safe because evaluation is deterministic.
     if let Some(j) = journal {
         while index < end && !capped {
-            let Some(rec) = j.replayed(index) else { break };
+            let Some(rec) = j.replayed(&index) else { break };
             stats.kernels += 1;
             match rec {
                 KernelRecord::Agreement { runs, escalations } => {
@@ -268,26 +269,22 @@ pub fn run_campaign_durable(
                     stats.agreements += 1;
                     stats.escalations += u64::from(escalations);
                     if let Some(j) = journal {
-                        j.record(
-                            i,
-                            &KernelRecord::Agreement {
-                                runs: stats.runs - runs_before,
-                                escalations,
-                            },
-                        );
+                        let rec = KernelRecord::Agreement {
+                            runs: stats.runs - runs_before,
+                            escalations,
+                        };
+                        j.append(&i, &encode_record(i, &rec));
                     }
                 }
                 Outcome::Divergence(d) => {
                     stats.divergences += 1;
                     let found = shrink_divergence(cfg, runner, i, g, d, &mut stats);
                     if let Some(j) = journal {
-                        j.record(
-                            i,
-                            &KernelRecord::Divergence {
-                                runs: stats.runs - runs_before,
-                                found: found.clone(),
-                            },
-                        );
+                        let rec = KernelRecord::Divergence {
+                            runs: stats.runs - runs_before,
+                            found: found.clone(),
+                        };
+                        j.append(&i, &encode_record(i, &rec));
                     }
                     divergences.push(found);
                     if stats.divergences >= cfg.max_divergences {
@@ -614,6 +611,21 @@ mod tests {
         assert_eq!(r1, r2);
     }
 
+    fn open(
+        dir: &std::path::Path,
+        cfg: &CampaignConfig,
+        resume: bool,
+    ) -> Result<Campaign<u64, KernelRecord>, String> {
+        let meta = crate::journal::meta_line(cfg);
+        Campaign::open(
+            dir,
+            &meta,
+            resume,
+            "fuzz",
+            crate::journal::parse_kernel_record,
+        )
+    }
+
     fn journal_dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!(
             "rmx-fuzzjournal-{tag}-{}-{:?}",
@@ -651,7 +663,7 @@ mod tests {
         let (golden, golden_code) = run_campaign(&cfg, &runner).render();
 
         let dir = journal_dir("resume");
-        let journal = crate::journal::FuzzJournal::create(&dir, &cfg).unwrap();
+        let journal = open(&dir, &cfg, false).unwrap();
         let polls = std::sync::atomic::AtomicU32::new(0);
         let cancel = || polls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= 2;
         let run = run_campaign_durable(&cfg, &runner, Some(&journal), Some(&cancel));
@@ -661,7 +673,7 @@ mod tests {
         assert!(completed > 0 && completed < total, "{completed}/{total}");
         drop(journal);
 
-        let resumed = crate::journal::FuzzJournal::resume(&dir, &cfg).unwrap();
+        let resumed = open(&dir, &cfg, true).unwrap();
         assert_eq!(resumed.completed() as u64, completed);
         let run = run_campaign_durable(&cfg, &runner, Some(&resumed), None);
         let FuzzRun::Complete(report) = run else {
@@ -676,12 +688,12 @@ mod tests {
     fn resume_with_different_campaign_is_refused() {
         let cfg = quick_cfg(8);
         let dir = journal_dir("mismatch");
-        drop(crate::journal::FuzzJournal::create(&dir, &cfg).unwrap());
+        drop(open(&dir, &cfg, false).unwrap());
         let mut other = cfg.clone();
         other.seed ^= 1;
-        let err = crate::journal::FuzzJournal::resume(&dir, &other).unwrap_err();
+        let err = open(&dir, &other, true).unwrap_err();
         assert!(err.contains("refusing to resume"), "{err}");
-        assert!(crate::journal::FuzzJournal::resume(&dir, &cfg).is_ok());
+        assert!(open(&dir, &cfg, true).is_ok());
     }
 
     #[test]
@@ -695,30 +707,15 @@ mod tests {
         let (golden, _) = run_campaign(&cfg, &runner).render();
 
         let dir = journal_dir("gap");
-        let journal = crate::journal::FuzzJournal::create(&dir, &cfg).unwrap();
+        let journal = open(&dir, &cfg, false).unwrap();
         journal.sync();
         drop(journal);
         // Plant an out-of-prefix record with corrupt counters at index 5.
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(dir.join("journal.log"))
-                .unwrap();
-            // Hand-build a valid journal record the hard way: reuse the
-            // public journal by appending through a scratch FuzzJournal
-            // would re-write the meta, so splice raw bytes instead.
-            let payload = b"ok index=5 runs=999 esc=9";
-            let mut rec = Vec::new();
-            rec.extend_from_slice(b"RMXR");
-            rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            let mut checked = (payload.len() as u32).to_le_bytes().to_vec();
-            checked.extend_from_slice(payload);
-            rec.extend_from_slice(&regmutex_durable::fnv1a(&checked).to_le_bytes());
-            rec.extend_from_slice(payload);
-            f.write_all(&rec).unwrap();
-        }
-        let resumed = crate::journal::FuzzJournal::resume(&dir, &cfg).unwrap();
+        let (mut raw, _) = regmutex_durable::Journal::open(&dir.join("journal.log")).unwrap();
+        raw.append("ok index=5 runs=999 esc=9");
+        raw.sync();
+        drop(raw);
+        let resumed = open(&dir, &cfg, true).unwrap();
         assert_eq!(resumed.completed(), 1, "planted record must decode");
         let FuzzRun::Complete(report) = run_campaign_durable(&cfg, &runner, Some(&resumed), None)
         else {

@@ -9,20 +9,16 @@
 //! anything, so a SIGKILLed campaign continues where it stopped and
 //! renders byte-identically to an uninterrupted run.
 //!
-//! Robustness layering mirrors the chaos journal: the journal layer
-//! rejects torn tails and flipped bits by checksum; this layer refuses
-//! to resume when the pinned campaign meta differs from the current
-//! invocation, deduplicates records keep-first (a duplicated append
-//! cannot flip an outcome), and treats any record it cannot decode as
-//! absent — the kernel simply re-runs, which is always safe because
-//! evaluation is deterministic.
-
-use std::collections::HashMap;
-use std::path::Path;
-use std::sync::Mutex;
+//! The resume mechanics live in [`regmutex_durable::Campaign`]: the
+//! journal layer rejects torn tails and flipped bits by checksum, and the
+//! campaign layer refuses to resume when the pinned meta differs from
+//! the current invocation and folds records keep-first (a duplicated
+//! append cannot flip an outcome). This module keeps the fuzz-specific
+//! vocabulary: [`meta_line`] and the kernel-record codec. A record
+//! [`parse_kernel_record`] cannot decode is absent — the kernel simply
+//! re-runs, which is always safe because evaluation is deterministic.
 
 use regmutex::Technique;
-use regmutex_durable::Journal;
 
 use crate::artifact::Artifact;
 use crate::campaign::{CampaignConfig, FoundDivergence};
@@ -36,7 +32,7 @@ use crate::oracle::{Divergence, DivergenceKind};
 /// proves irrelevant — `--jobs`, batch size, duration budget — are
 /// deliberately excluded, so a campaign may resume at a different
 /// parallelism than it started with.
-fn meta_line(cfg: &CampaignConfig) -> String {
+pub fn meta_line(cfg: &CampaignConfig) -> String {
     let fault = cfg.fault.as_ref().map_or("-".to_string(), |f| {
         format!("{}:{}:{}:{}", f.class, f.severity, f.seed, f.technique)
     });
@@ -58,7 +54,7 @@ fn meta_line(cfg: &CampaignConfig) -> String {
 /// simulator submissions the kernel cost (oracle runs + escalations +
 /// minimizer probes), so replayed counters match a live run.
 #[derive(Debug, Clone)]
-pub(crate) enum KernelRecord {
+pub enum KernelRecord {
     /// All invariants held.
     Agreement {
         /// Simulations attributed to this kernel.
@@ -75,7 +71,7 @@ pub(crate) enum KernelRecord {
     },
 }
 
-fn encode_record(index: u64, rec: &KernelRecord) -> String {
+pub(crate) fn encode_record(index: u64, rec: &KernelRecord) -> String {
     match rec {
         KernelRecord::Agreement { runs, escalations } => {
             format!("ok index={index} runs={runs} esc={escalations}")
@@ -95,8 +91,9 @@ fn encode_record(index: u64, rec: &KernelRecord) -> String {
 }
 
 /// Decode one record; `None` means "not a kernel record / undecodable",
-/// which the resume path treats as a gap (the kernel re-runs).
-fn parse_kernel_record(rec: &str) -> Option<(u64, KernelRecord)> {
+/// which the resume path treats as a gap (the kernel re-runs). The
+/// decoder for [`regmutex_durable::Campaign::open`] on a fuzz journal.
+pub fn parse_kernel_record(rec: &str) -> Option<(u64, KernelRecord)> {
     fn field<T: std::str::FromStr>(part: Option<&str>, key: &str) -> Option<T> {
         part?.strip_prefix(key)?.parse().ok()
     }
@@ -140,93 +137,6 @@ fn parse_kernel_record(rec: &str) -> Option<(u64, KernelRecord)> {
         minimize_tests: tests,
     };
     Some((index, KernelRecord::Divergence { runs, found }))
-}
-
-/// Durable campaign state for `fuzz --journal`: the append handle plus
-/// the kernel evaluations replayed from a previous run.
-#[derive(Debug)]
-pub struct FuzzJournal {
-    journal: Mutex<Journal>,
-    completed: HashMap<u64, KernelRecord>,
-}
-
-impl FuzzJournal {
-    fn log_path(dir: &Path) -> std::path::PathBuf {
-        dir.join("journal.log")
-    }
-
-    /// Start a fresh campaign journal under `dir` (truncating any
-    /// previous journal there).
-    pub fn create(dir: &Path, cfg: &CampaignConfig) -> Result<FuzzJournal, String> {
-        let mut journal = Journal::create(&Self::log_path(dir))
-            .map_err(|e| format!("cannot create journal in {}: {e}", dir.display()))?;
-        journal.append(&meta_line(cfg));
-        journal.sync();
-        Ok(FuzzJournal {
-            journal: Mutex::new(journal),
-            completed: HashMap::new(),
-        })
-    }
-
-    /// Resume from an existing journal: verify the campaign meta matches
-    /// this invocation, then fold every intact kernel record. Recovery
-    /// diagnostics (torn tail, quarantined records) go to stderr.
-    pub fn resume(dir: &Path, cfg: &CampaignConfig) -> Result<FuzzJournal, String> {
-        let (journal, replay) = Journal::open(&Self::log_path(dir)).map_err(|e| e.to_string())?;
-        for d in &replay.diagnostics {
-            eprintln!("[fuzz] journal recovery: {d}");
-        }
-        let mut records = replay.records.iter();
-        match records.next() {
-            Some(meta) if *meta == meta_line(cfg) => {}
-            Some(meta) => {
-                let head = meta.lines().next().unwrap_or(meta);
-                return Err(format!(
-                    "journal campaign mismatch: journal has `{head}`, \
-                     this invocation is `{}`; refusing to resume",
-                    meta_line(cfg)
-                ));
-            }
-            None => {
-                // Recovery ate everything (or the journal never got its
-                // meta): nothing to resume, start clean on the same file.
-                return FuzzJournal::create(dir, cfg);
-            }
-        }
-        let mut completed = HashMap::new();
-        for rec in records {
-            if let Some((index, kr)) = parse_kernel_record(rec) {
-                // Keep the first occurrence: duplicated records (replayed
-                // writes) must not flip an outcome.
-                completed.entry(index).or_insert(kr);
-            }
-        }
-        Ok(FuzzJournal {
-            journal: Mutex::new(journal),
-            completed,
-        })
-    }
-
-    /// Kernels already evaluated by a previous run.
-    pub fn completed(&self) -> usize {
-        self.completed.len()
-    }
-
-    pub(crate) fn replayed(&self, index: u64) -> Option<&KernelRecord> {
-        self.completed.get(&index)
-    }
-
-    pub(crate) fn record(&self, index: u64, rec: &KernelRecord) {
-        self.journal
-            .lock()
-            .unwrap()
-            .append(&encode_record(index, rec));
-    }
-
-    /// Flush batched appends (checkpoint boundary).
-    pub fn sync(&self) {
-        self.journal.lock().unwrap().sync();
-    }
 }
 
 #[cfg(test)]
@@ -298,6 +208,63 @@ mod tests {
         assert_eq!(found.instructions, want.instructions);
         assert_eq!(found.minimize_steps, want.minimize_steps);
         assert_eq!(found.minimize_tests, want.minimize_tests);
+    }
+
+    #[test]
+    fn journal_written_by_an_earlier_build_resumes() {
+        // The exact on-disk vocabulary, as literals: the meta line of
+        // `fuzz --seed 0xc1 --iters 600`, one agreement and one
+        // divergence carrying its minimized artifact.
+        let cfg = CampaignConfig {
+            seed: 0xc1,
+            iters: 600,
+            ..CampaignConfig::default()
+        };
+        let dir = std::env::temp_dir().join(format!("rmx-fuzz-compat-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut j = regmutex_durable::Journal::create(&dir.join("journal.log")).unwrap();
+        for rec in [
+            "meta kind=fuzz seed=0xc1 start=0 iters=600 budget=400000 esc=8 fault=- \
+             minimize=1 mintests=12000 maxdiv=5",
+            "ok index=0 runs=5 esc=0",
+            "div index=1 runs=41 technique=regmutex kind=verdict steps=3 tests=17 instr=12\n\
+             detail=regmutex faulted, baseline completed\n\
+             # regmutex-fuzz artifact v1\nversion=1\nseed=0xe0525efaf3cdbac8\n\
+             trace=4,5,1,6,1,2,7,0,0\nfault=stuck-srp-bit:severe:5:regmutex\n\
+             expect=divergence:regmutex:verdict\nnote=minimized from campaign seed 0xc1 index 1\n",
+        ] {
+            j.append(rec);
+        }
+        j.sync();
+        drop(j);
+
+        let meta = meta_line(&cfg);
+        let c = regmutex_durable::Campaign::open(&dir, &meta, true, "fuzz", parse_kernel_record)
+            .unwrap();
+        assert_eq!(c.completed(), 2);
+        let Some(KernelRecord::Agreement { runs, escalations }) = c.replayed(&0) else {
+            panic!("index 0 must replay as an agreement");
+        };
+        assert_eq!((*runs, *escalations), (5, 0));
+        let Some(KernelRecord::Divergence { runs, found }) = c.replayed(&1) else {
+            panic!("index 1 must replay as a divergence");
+        };
+        assert_eq!(*runs, 41);
+        assert_eq!(found.divergence.kind, DivergenceKind::Verdict);
+        assert_eq!(
+            found.divergence.detail,
+            "regmutex faulted, baseline completed"
+        );
+        assert_eq!(found.seed, 0xe052_5efa_f3cd_bac8);
+        assert_eq!(
+            (
+                found.instructions,
+                found.minimize_steps,
+                found.minimize_tests
+            ),
+            (12, 3, 17)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

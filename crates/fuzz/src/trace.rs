@@ -10,32 +10,7 @@
 //! kernels only. Entries past the end of a replayed trace read as zero,
 //! which makes plain truncation a legal shrink step.
 
-/// Deterministic xorshift64* PRNG (same family the load generator and the
-/// chaos campaigns use; no external randomness anywhere).
-#[derive(Debug, Clone)]
-pub struct XorShift(u64);
-
-impl XorShift {
-    /// Seed the generator; a zero seed is remapped to a fixed odd constant
-    /// (xorshift has a fixed point at zero).
-    pub fn new(seed: u64) -> Self {
-        XorShift(if seed == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            seed
-        })
-    }
-
-    /// Next raw 64-bit sample.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
+use regmutex_isa::XorShift;
 
 /// The single source every generator decision is drawn from.
 ///

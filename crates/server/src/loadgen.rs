@@ -23,6 +23,8 @@
 
 use std::time::{Duration, Instant};
 
+use regmutex_isa::XorShift;
+
 use crate::http::{client_request, HttpClient};
 use crate::json::{self, Json};
 
@@ -191,24 +193,6 @@ impl LoadgenReport {
     }
 }
 
-/// xorshift64* — tiny, seedable, good enough for workload sampling.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
 const TECHNIQUES: [&str; 2] = ["baseline", "regmutex"];
 
 /// Fetch the workload names the server offers.
@@ -309,7 +293,7 @@ fn tally(resp: &crate::http::ClientResponse, part: &mut LoadgenReport) {
 }
 
 fn worker(cfg: &LoadgenConfig, names: &[String], seed: u64) -> LoadgenReport {
-    let mut rng = Rng::new(seed);
+    let mut rng = XorShift::new(seed.max(1));
     let mut part = LoadgenReport::default();
     let mut client = HttpClient::new(cfg.addr.clone(), cfg.timeout, cfg.keep_alive);
     // Request bodies are pure functions of (app, technique): precompute
@@ -338,8 +322,8 @@ fn worker(cfg: &LoadgenConfig, names: &[String], seed: u64) -> LoadgenReport {
             remaining -= n;
             let idxs: Vec<usize> = (0..n)
                 .map(|_| {
-                    let app_idx = (rng.next() % names.len() as u64) as usize;
-                    let tech_idx = (rng.next() % TECHNIQUES.len() as u64) as usize;
+                    let app_idx = (rng.next_u64() % names.len() as u64) as usize;
+                    let tech_idx = (rng.next_u64() % TECHNIQUES.len() as u64) as usize;
                     app_idx * TECHNIQUES.len() + tech_idx
                 })
                 .collect();
@@ -366,8 +350,8 @@ fn worker(cfg: &LoadgenConfig, names: &[String], seed: u64) -> LoadgenReport {
         for _ in 0..cfg.requests {
             // Same two rng draws (app, then technique) as the pre-pool
             // code, so a seed reproduces the same request stream.
-            let app_idx = (rng.next() % names.len() as u64) as usize;
-            let tech_idx = (rng.next() % TECHNIQUES.len() as u64) as usize;
+            let app_idx = (rng.next_u64() % names.len() as u64) as usize;
+            let tech_idx = (rng.next_u64() % TECHNIQUES.len() as u64) as usize;
             let body = &bodies[app_idx * TECHNIQUES.len() + tech_idx];
             // One logical request: up to 1 + max_retries_429 attempts,
             // backing off by the server's Retry-After between them. The
@@ -401,17 +385,6 @@ fn worker(cfg: &LoadgenConfig, names: &[String], seed: u64) -> LoadgenReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rng_is_deterministic() {
-        let mut a = Rng::new(42);
-        let mut b = Rng::new(42);
-        for _ in 0..32 {
-            assert_eq!(a.next(), b.next());
-        }
-        let mut c = Rng::new(43);
-        assert_ne!(a.next(), c.next());
-    }
 
     #[test]
     fn percentiles_are_exact_on_sorted_samples() {

@@ -9,7 +9,7 @@
 //! seeded PRNG explores the structural space reproducibly (every failure
 //! message carries the case seed, so any counterexample replays exactly).
 
-use regmutex_isa::{ArchReg, Kernel, KernelBuilder, TripCount};
+use regmutex_isa::{ArchReg, Kernel, KernelBuilder, TripCount, XorShift};
 
 /// Number of persistent registers (r0..r3).
 const PERSISTENT: u16 = 4;
@@ -18,28 +18,21 @@ const TEMPS: u16 = 2;
 /// First spike register.
 const SPIKE_LO: u16 = PERSISTENT + TEMPS;
 
-/// A small, fast, deterministic PRNG (xorshift64*) for property tests.
-///
-/// Dependency-free stand-in for an external generator crate: the container
-/// builds offline, and a fixed seed makes every test run identical.
+/// A small, fast, deterministic PRNG (the workspace's xorshift64*) for
+/// property tests; a fixed seed makes every test run identical.
 #[derive(Debug, Clone)]
-pub struct Rng(u64);
+pub struct Rng(XorShift);
 
 impl Rng {
     /// Seeded generator; distinct seeds give well-separated streams.
     pub fn new(seed: u64) -> Self {
         // Avoid the all-zero fixed point and decorrelate small seeds.
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+        Rng(XorShift::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        self.0.next_u64()
     }
 
     /// Uniform value in `[0, n)`; `n` must be non-zero.

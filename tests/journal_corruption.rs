@@ -12,7 +12,9 @@
 use std::path::{Path, PathBuf};
 
 use regmutex_bench::Runner;
-use regmutex_fuzz::{run_campaign, run_campaign_durable, CampaignConfig, FuzzJournal, FuzzRun};
+use regmutex_durable::Campaign;
+use regmutex_fuzz::journal::{meta_line, parse_kernel_record};
+use regmutex_fuzz::{run_campaign, run_campaign_durable, CampaignConfig, FuzzRun, KernelRecord};
 
 fn dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -32,12 +34,21 @@ fn campaign() -> CampaignConfig {
     }
 }
 
+/// Start (`resume == false`) or resume the fuzz campaign journal in `d`.
+fn open(
+    d: &Path,
+    cfg: &CampaignConfig,
+    resume: bool,
+) -> Result<Campaign<u64, KernelRecord>, String> {
+    Campaign::open(d, &meta_line(cfg), resume, "fuzz", parse_kernel_record)
+}
+
 /// Run the campaign durably into `d`, returning the golden render of an
 /// uninterrupted (journal-free) run for comparison.
 fn seed_journal(d: &Path) -> String {
     let cfg = campaign();
     let golden = run_campaign(&cfg, &Runner::new(2)).render().0;
-    let journal = FuzzJournal::create(d, &cfg).unwrap();
+    let journal = open(d, &cfg, false).unwrap();
     match run_campaign_durable(&cfg, &Runner::new(2), Some(&journal), None) {
         FuzzRun::Complete(report) => assert_eq!(report.render().0, golden),
         FuzzRun::Checkpointed { .. } => unreachable!("no cancel installed"),
@@ -48,7 +59,7 @@ fn seed_journal(d: &Path) -> String {
 /// Resume over whatever is on disk; the render must equal `golden`.
 fn resume_matches(d: &Path, golden: &str) {
     let cfg = campaign();
-    let journal = FuzzJournal::resume(d, &cfg).expect("recoverable journal");
+    let journal = open(d, &cfg, true).expect("recoverable journal");
     match run_campaign_durable(&cfg, &Runner::new(2), Some(&journal), None) {
         FuzzRun::Complete(report) => assert_eq!(
             report.render().0,
@@ -142,7 +153,7 @@ fn corrupted_file_header_is_a_diagnosed_refusal() {
     let mut bytes = journal_bytes(&d);
     bytes[3] ^= 0xff;
     write_journal(&d, &bytes);
-    let err = FuzzJournal::resume(&d, &campaign()).expect_err("bad header must refuse");
+    let err = open(&d, &campaign(), true).expect_err("bad header must refuse");
     assert!(!err.is_empty());
 }
 
@@ -160,7 +171,7 @@ fn corrupted_meta_record_is_a_diagnosed_refusal_or_clean_restart() {
     // refusal or a from-scratch re-run — silent divergence is the one
     // forbidden outcome.
     let cfg = campaign();
-    match FuzzJournal::resume(&d, &cfg) {
+    match open(&d, &cfg, true) {
         Err(err) => assert!(!err.is_empty()),
         Ok(journal) => match run_campaign_durable(&cfg, &Runner::new(2), Some(&journal), None) {
             FuzzRun::Complete(report) => assert_eq!(report.render().0, golden),
